@@ -1,11 +1,10 @@
-//! Ablation: rayon's work-stealing pool vs the `arp-par` OpenMP-style pool
-//! across its three schedules, on a compute-bound loop. On multi-core hosts
-//! this compares real scaling; on single-core CI it quantifies the pure
-//! dispatch overhead of each backend.
+//! Ablation: the three OpenMP schedules of the shared `arp-par` pool
+//! (static, dynamic, guided) against a sequential loop, on a compute-bound
+//! loop. On multi-core hosts this compares real scaling; on single-core CI
+//! it quantifies the pure dispatch overhead of each schedule.
 
 use arp_par::{Schedule, ThreadPool};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn work_unit(i: usize) -> u64 {
@@ -16,13 +15,9 @@ fn work_unit(i: usize) -> u64 {
     acc
 }
 
-fn bench_backends(c: &mut Criterion) {
+fn bench_schedules(c: &mut Criterion) {
     let n = 4096usize;
-    let pool = ThreadPool::new(
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4),
-    );
+    let pool = ThreadPool::global();
 
     let mut group = c.benchmark_group("ablation/backend");
     group.sample_size(20);
@@ -34,15 +29,6 @@ fn bench_backends(c: &mut Criterion) {
                 sum = sum.wrapping_add(work_unit(i));
             }
             sum
-        })
-    });
-
-    group.bench_function("rayon", |b| {
-        b.iter(|| {
-            (0..n)
-                .into_par_iter()
-                .map(work_unit)
-                .reduce(|| 0u64, u64::wrapping_add)
         })
     });
 
@@ -64,5 +50,5 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_backends);
+criterion_group!(benches, bench_schedules);
 criterion_main!(benches);

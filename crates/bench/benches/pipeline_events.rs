@@ -1,9 +1,8 @@
 //! Bench for Table I / Fig. 12: the five pipeline implementations (the
 //! paper's four plus the DAG scheduler) on a
-//! scaled paper event. Reported wall times are the real sequential costs;
-//! the multi-core comparison (with simulated scheduling) is produced by the
-//! `report` binary, which this bench complements with statistically robust
-//! per-implementation costs.
+//! scaled paper event, timed on the shared pool. The `report` binary
+//! produces the same comparison; this bench complements it with
+//! statistically robust per-implementation costs.
 
 use arp_bench::{run_once, stage_event_inputs};
 use arp_core::{ImplKind, PipelineConfig};

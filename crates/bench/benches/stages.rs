@@ -1,6 +1,6 @@
 //! Bench for Fig. 11: the cost of each heavy pipeline process on a fixed
 //! staged input — the sequential bars of the per-stage comparison. The
-//! parallel bars come from the scheduling simulator (`report fig11`).
+//! parallel bars come from `report fig11`.
 
 use arp_core::process::{analyze, filter, fourier, gemgen, plots, respspec, separate};
 use arp_core::{PipelineConfig, RunContext};

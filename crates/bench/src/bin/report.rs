@@ -11,7 +11,8 @@
 //!   fig12    Fig. 12  — grouped bars per event (SVG + CSV)
 //!   fig13    Fig. 13  — speedup & throughput vs problem size (SVG + CSV)
 //!   amdahl   Amdahl check — measured vs predicted speedup
-//!   sweep    speedup vs virtual processor count (1..16)
+//!   sweep    projected speedup vs thread count (1..16), replayed from
+//!            the node durations of one measured DAG run
 //!   scaling  execution time vs data points (linearity check, §VII-C)
 //!   batch    six-event cross-event super-DAG vs per-event DAG loop
 //!            (writes BENCH_batch.json, including measured per-worker
@@ -34,10 +35,6 @@
 //!   --duhamel    use the legacy O(D²)-per-period response-spectrum kernel
 //!   --out DIR    where CSV/SVG artifacts go (default ./report-out)
 //!   --event N    event index for fig11/amdahl (default 5, the largest)
-//!   --threads P  virtual processors for the simulated schedule (default 8,
-//!                the paper's testbed core count)
-//!   --measured   use real wall-clock parallel timing instead of the
-//!                simulated schedule (only meaningful on multi-core hosts)
 //!   --reps N     repetitions per measurement, median kept (default 1)
 //!   --tolerance N
 //!                compare: allowed regression percent (default 10)
@@ -45,9 +42,11 @@
 //!                compare: gate only machine-stable metrics (utilization),
 //!                skipping absolute seconds and noise-prone speedups
 //! ```
+//!
+//! Every experiment runs on the host's shared worker pool and reports
+//! wall-clock times; only `sweep` projects beyond the host's width.
 
 use arp_bench as bench;
-use arp_core::config::TimingModel;
 use arp_core::PipelineConfig;
 use arp_dsp::respspec::ResponseMethod;
 use std::path::PathBuf;
@@ -58,8 +57,6 @@ struct Options {
     duhamel: bool,
     out: PathBuf,
     event: usize,
-    threads: usize,
-    measured: bool,
     reps: usize,
     /// Positional file arguments (the two BENCH_*.json paths of `compare`).
     files: Vec<PathBuf>,
@@ -76,8 +73,6 @@ fn parse_args() -> Result<Options, String> {
         duhamel: false,
         out: PathBuf::from("report-out"),
         event: 5,
-        threads: 8,
-        measured: false,
         reps: 1,
         files: Vec::new(),
         tolerance: 0.10,
@@ -101,14 +96,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--event must be 0..=5".into());
                 }
             }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                opts.threads = v.parse().map_err(|e| format!("bad --threads: {e}"))?;
-                if opts.threads == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-            }
-            "--measured" => opts.measured = true,
             "--reps" => {
                 let v = args.next().ok_or("--reps needs a value")?;
                 opts.reps = v.parse().map_err(|e| format!("bad --reps: {e}"))?;
@@ -140,13 +127,6 @@ fn config_for(opts: &Options) -> PipelineConfig {
     if opts.duhamel {
         config.response_method = ResponseMethod::Duhamel;
     }
-    config.timing = if opts.measured {
-        TimingModel::Measured
-    } else {
-        TimingModel::Simulated {
-            threads: opts.threads,
-        }
-    };
     config
 }
 
@@ -159,18 +139,14 @@ fn save(out_dir: &PathBuf, name: &str, contents: &str) {
 
 fn run_table_experiments(opts: &Options, config: &PipelineConfig) -> Vec<bench::EventRun> {
     eprintln!(
-        "running Table I experiment at scale {} ({} kernel, {})...",
+        "running Table I experiment at scale {} ({} kernel, {} threads)...",
         opts.scale,
         if opts.duhamel {
             "Duhamel"
         } else {
             "Nigam-Jennings"
         },
-        if opts.measured {
-            "measured wall-clock".to_string()
-        } else {
-            format!("simulated {}-thread schedule", opts.threads)
-        }
+        arp_par::ThreadPool::global().threads()
     );
     bench::warmup(config).expect("warmup failed");
     bench::table1_reps(opts.scale, config, opts.reps).expect("table1 run failed")
@@ -197,7 +173,11 @@ fn main() {
     match opts.command.as_str() {
         "table1" => {
             let rows = rows.as_ref().unwrap();
-            println!("\nTABLE I (reproduced, scale {}):\n", opts.scale);
+            println!(
+                "\nTABLE I (reproduced, scale {}, {} threads):\n",
+                opts.scale,
+                arp_par::ThreadPool::global().threads()
+            );
             print!("{}", bench::format_table1(rows));
             println!();
             print!("{}", bench::format_dag_decomposition(rows));
@@ -229,13 +209,7 @@ fn main() {
             bench::warmup(&config).expect("warmup failed");
             let f = bench::fig11_reps(opts.event, opts.scale, &config, opts.reps)
                 .expect("fig11 run failed");
-            let threads = if opts.measured {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            } else {
-                opts.threads
-            };
+            let threads = arp_par::ThreadPool::global().threads();
             let (serial, predicted) = bench::amdahl_prediction(&f, threads);
             let seq: f64 = f.sequential.iter().map(|s| s.elapsed.as_secs_f64()).sum();
             let par: f64 = f.parallel.iter().map(|s| s.elapsed.as_secs_f64()).sum();
@@ -271,23 +245,22 @@ fn main() {
             let counts = [1usize, 2, 4, 8, 12, 16];
             let rows = bench::thread_sweep(opts.event, opts.scale, &config, &counts)
                 .expect("sweep failed");
-            println!("\nSpeedup vs virtual processors (event {}):\n", opts.event);
-            println!("{:<10} {:>8}", "threads", "speedup");
+            println!(
+                "\nProjected speedup vs threads (event {}, replayed from one measured DAG run):\n",
+                opts.event
+            );
+            println!("{:<10} {:>10}", "threads", "projected");
             for (t, s) in &rows {
-                println!("{t:<10} {s:>7.2}x");
+                println!("{t:<10} {s:>9.2}x");
             }
             save(&opts.out, "sweep.csv", &bench::sweep_csv(&rows));
         }
         "batch" => {
             bench::warmup(&config).expect("warmup failed");
             eprintln!(
-                "running batch experiment at scale {} ({})...",
+                "running batch experiment at scale {} ({} threads)...",
                 opts.scale,
-                if opts.measured {
-                    "measured wall-clock".to_string()
-                } else {
-                    format!("simulated {}-thread schedule", opts.threads)
-                }
+                arp_par::ThreadPool::global().threads()
             );
             let b = bench::batch_experiment(opts.scale, &config, 6).expect("batch run failed");
             println!();
@@ -334,7 +307,11 @@ fn main() {
         }
         "all" => {
             let rows = rows.as_ref().unwrap();
-            println!("\nTABLE I (reproduced, scale {}):\n", opts.scale);
+            println!(
+                "\nTABLE I (reproduced, scale {}, {} threads):\n",
+                opts.scale,
+                arp_par::ThreadPool::global().threads()
+            );
             print!("{}", bench::format_table1(rows));
             println!();
             print!("{}", bench::format_dag_decomposition(rows));

@@ -237,7 +237,7 @@ pub fn format_table1(rows: &[EventRun]) -> String {
 /// critical path that bounds it.
 pub fn format_dag_decomposition(rows: &[EventRun]) -> String {
     let mut out =
-        String::from("DAG schedule decomposition (simulated on the run's own node times):\n");
+        String::from("DAG schedule decomposition (replayed from the run's own node times):\n");
     out.push_str(&format!(
         "{:<12} {:>10} {:>10} {:>10} {:>10}  critical path\n",
         "Event", "NodeSum", "Barrier", "DAG", "CP floor"
@@ -551,16 +551,13 @@ pub struct BatchExperiment {
     pub loop_report: arp_core::BatchReport,
     /// Cross-event super-DAG run (critical-path ready order).
     pub dag_report: arp_core::BatchReport,
-    /// Span trace of the measured scheduler-health pass: per-worker
-    /// utilization and queue-wait percentiles (the scheduler-health
-    /// columns of `BENCH_batch.json`). Always recorded on the real worker
-    /// pool — for simulated-timing configs a dedicated measured run is
-    /// added, so the rows name actual pool threads (`arp-par-*`,
-    /// `arp-io-*`, plus the helping caller) instead of collapsing onto
-    /// the caller thread.
+    /// Span trace of the super-DAG run: per-worker utilization and
+    /// queue-wait percentiles (the scheduler-health columns of
+    /// `BENCH_batch.json`), one row per pool thread (`arp-par-*`,
+    /// `arp-io-*`) plus the helping caller.
     pub trace: arp_trace::TraceSummary,
     /// Live-metrics digest of the pool's queue-wait histogram over the
-    /// scheduler-health pass (`None` if nothing was recorded).
+    /// super-DAG run (`None` if nothing was recorded).
     pub queue_wait: Option<HistDigest>,
     /// Live-metrics digest of the pool's execute-time histogram.
     pub execute: Option<HistDigest>,
@@ -568,7 +565,7 @@ pub struct BatchExperiment {
     /// measured super-DAG run (`diag/plain − 1`; negative = within
     /// noise). Gated at ≤1% by `report compare`.
     pub diag_overhead: f64,
-    /// Attribution profile of the same scheduler-health trace: per-kernel
+    /// Attribution profile of the same super-DAG trace: per-kernel
     /// exclusive self-time, the realized critical path's composition, the
     /// accounting identity (gated by `report compare`), and what-if
     /// speedup curves replayed through the deterministic scheduler.
@@ -1004,80 +1001,43 @@ pub fn batch_experiment(
     }
     let loop_work = scratch("batch-loop-w");
     let dag_work = scratch("batch-dag-w");
-    let health_work = scratch("batch-health-w");
-    for w in [&loop_work, &dag_work, &health_work] {
+    for w in [&loop_work, &dag_work] {
         if w.exists() {
             std::fs::remove_dir_all(w).map_err(|e| PipelineError::io(w, e))?;
         }
     }
     let loop_report = arp_core::run_batch(&items, &loop_work, config, ImplKind::DagParallel)?;
-    // The scheduler-health columns (per-worker utilization, queue-wait and
-    // execute-time percentiles) must come from a run on the *real* worker
-    // pool: a simulated-timing run executes every node sequentially on the
-    // caller thread, so tracing it would collapse all spans onto one
-    // "main" lane (with busy time exceeding the virtual makespan) and
-    // leave the pool's histograms empty. When the requested config is
-    // already measured, a single instrumented run serves both purposes;
-    // when it is simulated, the virtual-makespan run happens first,
-    // uninstrumented, and a measured health pass follows.
-    use arp_core::config::TimingModel;
-    let measured = matches!(config.timing, TimingModel::Measured);
-    let sim_result = (!measured).then(|| {
-        arp_core::run_batch_dag(
-            &items,
-            &dag_work,
-            config,
-            arp_core::ReadyOrder::CriticalPath,
-        )
-    });
     // Both collectors stay within the <1% budget (see
     // `trace_overhead_experiment`). The registry is reset first so the
-    // digests cover the health run alone.
+    // digests cover the super-DAG run alone.
     let metrics_before = arp_metrics::enabled();
     arp_metrics::reset();
     arp_metrics::set_enabled(true);
     let session = arp_trace::TraceSession::start();
-    let health_result = if measured {
-        arp_core::run_batch_dag(
-            &items,
-            &dag_work,
-            config,
-            arp_core::ReadyOrder::CriticalPath,
-        )
-    } else {
-        let mut health_config = config.clone();
-        health_config.timing = TimingModel::Measured;
-        arp_core::run_batch_dag(
-            &items,
-            &health_work,
-            &health_config,
-            arp_core::ReadyOrder::CriticalPath,
-        )
-    };
-    let health_trace = session.finish();
-    let trace = health_trace.summary();
+    let dag_result = arp_core::run_batch_dag(
+        &items,
+        &dag_work,
+        config,
+        arp_core::ReadyOrder::CriticalPath,
+    );
+    let dag_trace = session.finish();
+    let trace = dag_trace.summary();
     arp_metrics::set_enabled(metrics_before);
     let queue_wait = HistDigest::from_snapshot(&arp_par::metrics::queue_wait().snapshot());
     let execute = HistDigest::from_snapshot(&arp_par::metrics::execute_time().snapshot());
-    // Fold the same health trace into the attribution profile: per-kernel
+    // Fold the same trace into the attribution profile: per-kernel
     // self-time, realized critical path, and what-if curves replayed on
     // the pool's real worker topology.
     let pool = arp_par::ThreadPool::global();
     let profile = arp_core::profile_trace_what_if(
-        &health_trace,
+        &dag_trace,
         pool.threads(),
         pool.io_threads(),
         arp_core::WHAT_IF_TOP_K,
         &arp_core::WHAT_IF_SPEEDUPS,
     )
     .map_err(arp_core::PipelineError::Config)?;
-    let dag_report = match sim_result {
-        Some(sim) => {
-            health_result?;
-            sim?
-        }
-        None => health_result?,
-    };
+    let dag_report = dag_result?;
     // Diagnostics budget check: the measured super-DAG run with the
     // structured-log ring armed (what `--diag on` enables), sandwiched
     // between two uninstrumented twins (A-B-A) so monotone host drift and
@@ -1085,8 +1045,6 @@ pub fn batch_experiment(
     // median ratio: a single transient stall on a shared CI host can swing
     // one ratio by tens of percent either way.
     let diag_work = scratch("batch-diag-w");
-    let mut measured_config = config.clone();
-    measured_config.timing = TimingModel::Measured;
     let mut ratios = Vec::with_capacity(3);
     for _ in 0..3 {
         let mut totals = [0.0f64; 3];
@@ -1099,7 +1057,7 @@ pub fn batch_experiment(
             let result = arp_core::run_batch_dag(
                 &items,
                 &diag_work,
-                &measured_config,
+                config,
                 arp_core::ReadyOrder::CriticalPath,
             );
             arp_diag::set_ring_enabled(false);
@@ -1115,8 +1073,8 @@ pub fn batch_experiment(
     let diag_overhead = median(&ratios);
     // The SIMD-backend comparison reuses the staged inputs and the profile's
     // what-if curves, so it runs before the input root is torn down.
-    let simd = simd_experiment(&items, &measured_config, &profile)?;
-    for dir in [&root, &loop_work, &dag_work, &health_work, &diag_work] {
+    let simd = simd_experiment(&items, config, &profile)?;
+    for dir in [&root, &loop_work, &dag_work, &diag_work] {
         if dir.exists() {
             std::fs::remove_dir_all(dir).map_err(|e| PipelineError::io(dir, e))?;
         }
@@ -1867,39 +1825,38 @@ pub fn compare_batch_json(
     })
 }
 
-/// Thread-count sweep: overall speedup of the fully parallelized pipeline
-/// at each virtual processor count (the Amdahl curve the paper's Fig. 13
-/// gestures at). Returns `(threads, speedup)` pairs.
+/// Projected thread sweep: one measured [`ImplKind::DagParallel`] run of
+/// the event, its node durations replayed by the scheduling simulator at
+/// each thread count. Returns `(threads, speedup)` pairs, the speedup taken
+/// relative to the same replay at one thread. The numbers are projections
+/// from one host's measurements, not measurements at those widths.
 pub fn thread_sweep(
     event_index: usize,
     scale: f64,
-    base_config: &PipelineConfig,
+    config: &PipelineConfig,
     thread_counts: &[usize],
 ) -> Result<Vec<(usize, f64)>, PipelineError> {
-    use arp_core::config::TimingModel;
     let label = PAPER_EVENT_SHAPES[event_index].0;
     let event = paper_event(event_index, scale);
     let input_dir = stage_event_inputs(&event, &format!("sweep-{label}"))?;
-
-    let mut seq_config = base_config.clone();
-    seq_config.timing = TimingModel::Simulated { threads: 1 };
-    let baseline = run_once(&input_dir, &seq_config, ImplKind::SequentialOriginal, label)?;
-    let base_secs = baseline.total.as_secs_f64();
-
-    let mut results = Vec::with_capacity(thread_counts.len());
-    for &threads in thread_counts {
-        let mut config = base_config.clone();
-        config.timing = TimingModel::Simulated { threads };
-        let report = run_once(&input_dir, &config, ImplKind::FullyParallel, label)?;
-        results.push((threads, base_secs / report.total.as_secs_f64().max(1e-12)));
-    }
+    let report = run_once(&input_dir, config, ImplKind::DagParallel, label)?;
     std::fs::remove_dir_all(&input_dir).map_err(|e| PipelineError::io(&input_dir, e))?;
-    Ok(results)
+
+    // Report timings are in node order, which is what the one-event
+    // super-DAG's index-based predecessor table expects.
+    let durations: Vec<Duration> = report.processes.iter().map(|t| t.elapsed).collect();
+    let graph = arp_core::SuperDag::union(&[label.to_string()]);
+    let projected = |threads| arp_par::dag_makespan(&durations, graph.preds(), threads);
+    let one = projected(1).as_secs_f64();
+    Ok(thread_counts
+        .iter()
+        .map(|&threads| (threads, one / projected(threads).as_secs_f64().max(1e-12)))
+        .collect())
 }
 
 /// Formats a thread sweep as CSV.
 pub fn sweep_csv(rows: &[(usize, f64)]) -> String {
-    let mut out = String::from("threads,speedup\n");
+    let mut out = String::from("threads,projected_speedup\n");
     for (t, s) in rows {
         out.push_str(&format!("{t},{s:.4}\n"));
     }
@@ -1995,14 +1952,10 @@ mod tests {
 
     #[test]
     fn batch_experiment_compares_schedules() {
-        use arp_core::config::TimingModel;
-        let mut config = tiny_config();
-        config.timing = TimingModel::Simulated { threads: 8 };
-        let b = batch_experiment(0.002, &config, 2).unwrap();
+        let b = batch_experiment(0.002, &tiny_config(), 2).unwrap();
         assert_eq!(b.loop_report.events.len(), 2);
         assert_eq!(b.dag_report.events.len(), 2);
         let dag = b.dag_report.dag.as_ref().expect("super-DAG analysis");
-        assert!(dag.cross_event_overlap() > Duration::ZERO);
         let text = format_batch_experiment(&b);
         assert!(text.contains("per-event loop total"), "{text}");
         assert!(text.contains("super-DAG"), "{text}");
@@ -2019,10 +1972,9 @@ mod tests {
         assert!(dag.lane_makespan <= dag.sequential_baseline());
         // Two event rows, one per label.
         assert_eq!(json.matches("\"label\":").count(), 2);
-        // The scheduler-health pass runs on the real pool even though the
-        // requested config is simulated: worker rows name actual pool
-        // threads with busy time bounded by the trace wall time, and the
-        // live-metrics digests are populated, never null.
+        // The super-DAG run is traced on the real pool: worker rows name
+        // actual pool threads with busy time bounded by the trace wall
+        // time, and the live-metrics digests are populated, never null.
         assert!(
             b.trace.lanes.iter().any(|l| l.name.starts_with("arp-par-")),
             "no pool-thread lane in {:?}",
@@ -2039,7 +1991,7 @@ mod tests {
         assert!(b.queue_wait.is_some(), "queue-wait digest missing");
         assert!(b.execute.is_some(), "execute digest missing");
         assert!(!json.contains(": null"), "null digest leaked: {json}");
-        // The attribution profile rides on the same health trace: the
+        // The attribution profile rides on the same trace: the
         // accounting identity holds, what-if curves are present, and the
         // JSON carries the critical-path composition + sensitivity keys.
         b.profile.validate(1e-3).unwrap();
@@ -2260,9 +2212,19 @@ mod tests {
     }
 
     #[test]
+    fn thread_sweep_projects_from_one_run() {
+        let rows = thread_sweep(0, 0.002, &tiny_config(), &[1, 2, 8]).unwrap();
+        assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), vec![1, 2, 8]);
+        assert!((rows[0].1 - 1.0).abs() < 1e-12, "{rows:?}");
+        // A list schedule never idles with work ready, so it never loses
+        // to running every node back to back.
+        assert!(rows.iter().all(|&(_, s)| s >= 1.0 - 1e-12), "{rows:?}");
+    }
+
+    #[test]
     fn sweep_csv_format() {
         let csv = sweep_csv(&[(1, 1.0), (8, 2.5)]);
-        assert!(csv.starts_with("threads,speedup"));
+        assert!(csv.starts_with("threads,projected_speedup"));
         assert!(csv.contains("8,2.5000"));
     }
 

@@ -1,4 +1,4 @@
-//! Pipeline configuration: numeric choices and parallel backend.
+//! Pipeline configuration: numeric choices and DSP backend.
 
 use crate::error::{PipelineError, Result};
 use arp_dsp::backend::DspBackend;
@@ -6,47 +6,6 @@ use arp_dsp::fir::BandPass;
 use arp_dsp::inflection::InflectionConfig;
 use arp_dsp::respspec::ResponseMethod;
 use arp_dsp::window::WindowKind;
-use arp_par::Schedule;
-
-/// Which parallel substrate executes parallel stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelBackend {
-    /// Rayon's work-stealing pool (the idiomatic Rust choice).
-    Rayon,
-    /// The `arp-par` OpenMP-style pool with an explicit schedule — the
-    /// faithful reproduction of the paper's OpenMP pragmas.
-    OmpStyle(Schedule),
-}
-
-impl Default for ParallelBackend {
-    fn default() -> Self {
-        // The paper's loops are `schedule(static)` by default in OpenMP.
-        ParallelBackend::OmpStyle(Schedule::Static)
-    }
-}
-
-/// How parallel-stage wall time is obtained.
-///
-/// The paper's numbers come from an 8-core/12-thread testbed. On hosts with
-/// fewer cores (CI containers are often single-core), real wall-clock
-/// speedups are physically unobtainable, so the pipeline offers a
-/// *simulated-time* mode: every work unit still executes (sequentially) and
-/// is timed individually, then a deterministic scheduling simulator
-/// ([`arp_par::sim`]) replays the paper's schedule on `threads` virtual
-/// processors, including a shared-disk serialization bound for I/O-heavy
-/// loops. Reported stage times are then the simulated makespans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimingModel {
-    /// Use real wall-clock times with the configured parallel backend.
-    #[default]
-    Measured,
-    /// Execute sequentially, report simulated times for `threads` virtual
-    /// processors.
-    Simulated {
-        /// Number of virtual processors (the paper's testbed: 8).
-        threads: usize,
-    },
-}
 
 /// Full pipeline configuration.
 #[derive(Debug, Clone)]
@@ -64,10 +23,6 @@ pub struct PipelineConfig {
     pub period_count: usize,
     /// Damping ratios archived in `R` files.
     pub dampings: Vec<f64>,
-    /// Parallel backend for parallel stages.
-    pub backend: ParallelBackend,
-    /// Timing model (measured wall clock vs simulated multi-core schedule).
-    pub timing: TimingModel,
     /// Emit the RotD50/RotD100 extension products (`<station>.rotd`) after
     /// the definitive correction. Off by default (not part of the paper's
     /// twenty processes).
@@ -92,8 +47,6 @@ impl Default for PipelineConfig {
             response_method: ResponseMethod::NigamJennings,
             period_count: 91,
             dampings: arp_dsp::respspec::STANDARD_DAMPINGS.to_vec(),
-            backend: ParallelBackend::default(),
-            timing: TimingModel::default(),
             emit_rotd: false,
             max_fir_taps: 1201,
             dsp_backend: DspBackend::Auto,
@@ -134,11 +87,6 @@ impl PipelineConfig {
                 self.max_fir_taps
             )));
         }
-        if let TimingModel::Simulated { threads } = self.timing {
-            if threads == 0 {
-                return Err(PipelineError::Config("simulated thread count 0".into()));
-            }
-        }
         Ok(())
     }
 
@@ -177,32 +125,15 @@ mod tests {
                 max_fir_taps: 3,
                 ..Default::default()
             },
-            PipelineConfig {
-                timing: TimingModel::Simulated { threads: 0 },
-                ..Default::default()
-            },
         ];
         for (i, c) in broken.iter().enumerate() {
             assert!(c.validate().is_err(), "config {i} should be invalid");
         }
-        let ok = PipelineConfig {
-            timing: TimingModel::Simulated { threads: 8 },
-            ..Default::default()
-        };
-        assert!(ok.validate().is_ok());
     }
 
     #[test]
     fn period_grid_matches_count() {
         let c = PipelineConfig::fast();
         assert_eq!(c.periods().len(), 30);
-    }
-
-    #[test]
-    fn default_backend_is_static_omp() {
-        assert_eq!(
-            ParallelBackend::default(),
-            ParallelBackend::OmpStyle(Schedule::Static)
-        );
     }
 }

@@ -1,15 +1,9 @@
 //! Run context: directories, discovered stations, and parallel dispatch.
 
-use crate::config::{ParallelBackend, PipelineConfig, TimingModel};
+use crate::config::PipelineConfig;
 use crate::error::{PipelineError, Result};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-
-/// Default disk-contention fraction for loops whose cost the caller does
-/// not characterize (used by [`RunContext::par_for`]).
-pub const DEFAULT_SERIAL_FRACTION: f64 = 0.3;
 
 /// Everything a process needs to run: where the inputs live, where artifacts
 /// go, and the configuration.
@@ -21,9 +15,6 @@ pub struct RunContext {
     pub work_dir: PathBuf,
     /// Pipeline configuration.
     pub config: PipelineConfig,
-    /// Virtual time saved by the simulated schedule relative to the real
-    /// sequential execution (zero in [`TimingModel::Measured`] mode).
-    saved: Mutex<Duration>,
 }
 
 impl RunContext {
@@ -41,28 +32,7 @@ impl RunContext {
             input_dir,
             work_dir,
             config,
-            saved: Mutex::new(Duration::ZERO),
         })
-    }
-
-    /// Total virtual time saved so far by simulated scheduling. The
-    /// executors subtract deltas of this from measured wall times to obtain
-    /// simulated stage/pipeline times.
-    pub fn saved_snapshot(&self) -> Duration {
-        *self.saved.lock()
-    }
-
-    pub(crate) fn credit_saving(&self, real: Duration, simulated: Duration) {
-        *self.saved.lock() += real.saturating_sub(simulated);
-    }
-
-    /// The schedule the simulator replays (rayon behaves like dynamic
-    /// self-scheduling with small chunks).
-    fn sim_schedule(&self) -> arp_par::Schedule {
-        match self.config.backend {
-            ParallelBackend::Rayon => arp_par::Schedule::Dynamic(1),
-            ParallelBackend::OmpStyle(s) => s,
-        }
     }
 
     /// Path of an artifact in the work directory.
@@ -85,55 +55,19 @@ impl RunContext {
             .collect())
     }
 
-    /// Runs `body(i)` for `i in 0..n` on the configured parallel backend,
-    /// with the default I/O-contention profile. Errors from iterations are
-    /// collected; the first (by index) is returned.
+    /// Runs `body(i)` for `i in 0..n` on the shared pool under OpenMP's
+    /// default `schedule(static)`. Errors from iterations are collected;
+    /// the first (by index) is returned.
     pub fn par_for<F>(&self, n: usize, body: F) -> Result<()>
     where
         F: Fn(usize) -> Result<()> + Sync,
     {
-        self.par_for_profiled(n, DEFAULT_SERIAL_FRACTION, body)
-    }
-
-    /// As [`RunContext::par_for`] with an explicit `serial_fraction`: the
-    /// fraction of each unit's time spent on the shared disk, which bounds
-    /// the loop's scalability in [`TimingModel::Simulated`] mode (ignored in
-    /// measured mode).
-    pub fn par_for_profiled<F>(&self, n: usize, serial_fraction: f64, body: F) -> Result<()>
-    where
-        F: Fn(usize) -> Result<()> + Sync,
-    {
-        if let TimingModel::Simulated { threads } = self.config.timing {
-            let mut durations = Vec::with_capacity(n);
-            let t_all = Instant::now();
-            for i in 0..n {
-                let t0 = Instant::now();
-                body(i)?;
-                durations.push(t0.elapsed());
-            }
-            let real = t_all.elapsed();
-            let simulated = arp_par::resource_bounded_makespan(
-                &durations,
-                serial_fraction,
-                threads,
-                self.sim_schedule(),
-            );
-            self.credit_saving(real, simulated);
-            return Ok(());
-        }
-
         let errors: Mutex<Vec<(usize, PipelineError)>> = Mutex::new(Vec::new());
-        let wrapped = |i: usize| {
+        arp_par::ThreadPool::global().parallel_for(0..n, arp_par::Schedule::Static, |i| {
             if let Err(e) = body(i) {
                 errors.lock().push((i, e));
             }
-        };
-        match self.config.backend {
-            ParallelBackend::Rayon => (0..n).into_par_iter().for_each(wrapped),
-            ParallelBackend::OmpStyle(schedule) => {
-                arp_par::ThreadPool::global().parallel_for(0..n, schedule, wrapped)
-            }
-        }
+        });
         let mut errs = errors.into_inner();
         errs.sort_by_key(|(i, _)| *i);
         match errs.into_iter().next() {
@@ -154,52 +88,22 @@ impl RunContext {
         Ok(())
     }
 
-    /// Runs a set of heterogeneous tasks in parallel on the configured
-    /// backend (OpenMP `task`/`taskwait`), collecting errors.
+    /// Runs a set of heterogeneous tasks in parallel on the shared pool
+    /// (OpenMP `task`/`taskwait`), collecting errors.
     pub fn tasks(&self, tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>>) -> Result<()> {
-        if let TimingModel::Simulated { threads } = self.config.timing {
-            let mut durations = Vec::with_capacity(tasks.len());
-            let t_all = Instant::now();
-            for task in tasks {
-                let t0 = Instant::now();
-                task()?;
-                durations.push(t0.elapsed());
-            }
-            let real = t_all.elapsed();
-            let simulated = arp_par::tasks_makespan(&durations, threads);
-            self.credit_saving(real, simulated);
-            return Ok(());
-        }
-
         let errors: Mutex<Vec<PipelineError>> = Mutex::new(Vec::new());
-        match self.config.backend {
-            ParallelBackend::Rayon => {
-                rayon::scope(|s| {
-                    for t in tasks {
-                        let errors = &errors;
-                        s.spawn(move |_| {
-                            if let Err(e) = t() {
-                                errors.lock().push(e);
-                            }
-                        });
+        let wrapped: Vec<Box<dyn FnOnce() + Send + '_>> = tasks
+            .into_iter()
+            .map(|t| {
+                let errors = &errors;
+                Box::new(move || {
+                    if let Err(e) = t() {
+                        errors.lock().push(e);
                     }
-                });
-            }
-            ParallelBackend::OmpStyle(_) => {
-                let wrapped: Vec<Box<dyn FnOnce() + Send + '_>> = tasks
-                    .into_iter()
-                    .map(|t| {
-                        let errors = &errors;
-                        Box::new(move || {
-                            if let Err(e) = t() {
-                                errors.lock().push(e);
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                arp_par::ThreadPool::global().run_tasks(wrapped);
-            }
-        }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        arp_par::ThreadPool::global().run_tasks(wrapped);
         match errors.into_inner().into_iter().next() {
             Some(e) => Err(e),
             None => Ok(()),
@@ -245,23 +149,16 @@ mod tests {
     }
 
     #[test]
-    fn par_for_runs_everything_on_both_backends() {
+    fn par_for_runs_everything() {
         let base = temp_dir("parfor");
-        for backend in [
-            ParallelBackend::Rayon,
-            ParallelBackend::OmpStyle(arp_par::Schedule::Dynamic(1)),
-        ] {
-            let mut cfg = PipelineConfig::fast();
-            cfg.backend = backend;
-            let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
-            let count = AtomicUsize::new(0);
-            ctx.par_for(100, |_| {
-                count.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(count.load(Ordering::Relaxed), 100);
-        }
+        let ctx = RunContext::new(&base, base.join("w"), PipelineConfig::fast()).unwrap();
+        let count = AtomicUsize::new(0);
+        ctx.par_for(100, |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(count.load(Ordering::Relaxed), 100);
         std::fs::remove_dir_all(&base).unwrap();
     }
 
@@ -283,28 +180,21 @@ mod tests {
     }
 
     #[test]
-    fn tasks_run_on_both_backends() {
+    fn tasks_run_every_task() {
         let base = temp_dir("tasks");
-        for backend in [
-            ParallelBackend::Rayon,
-            ParallelBackend::OmpStyle(arp_par::Schedule::Static),
-        ] {
-            let mut cfg = PipelineConfig::fast();
-            cfg.backend = backend;
-            let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
-            let count = AtomicUsize::new(0);
-            let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = (0..7)
-                .map(|_| {
-                    let count = &count;
-                    Box::new(move || {
-                        count.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    }) as Box<dyn FnOnce() -> Result<()> + Send + '_>
-                })
-                .collect();
-            ctx.tasks(tasks).unwrap();
-            assert_eq!(count.load(Ordering::Relaxed), 7);
-        }
+        let ctx = RunContext::new(&base, base.join("w"), PipelineConfig::fast()).unwrap();
+        let count = AtomicUsize::new(0);
+        let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = (0..7)
+            .map(|_| {
+                let count = &count;
+                Box::new(move || {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }) as Box<dyn FnOnce() -> Result<()> + Send + '_>
+            })
+            .collect();
+        ctx.tasks(tasks).unwrap();
+        assert_eq!(count.load(Ordering::Relaxed), 7);
         std::fs::remove_dir_all(&base).unwrap();
     }
 
@@ -317,72 +207,6 @@ mod tests {
             Box::new(|| Err(PipelineError::Config("task died".into()))),
         ];
         assert!(ctx.tasks(tasks).is_err());
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn simulated_par_for_credits_savings() {
-        use crate::config::TimingModel;
-        let base = temp_dir("sim");
-        let mut cfg = PipelineConfig::fast();
-        cfg.timing = TimingModel::Simulated { threads: 8 };
-        let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
-        let count = AtomicUsize::new(0);
-        ctx.par_for_profiled(16, 0.0, |_| {
-            // Measurable per-unit work.
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            count.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 16);
-        // 16 units of ~2ms on 8 virtual threads: ~7/8 of the time credited.
-        let saved = ctx.saved_snapshot();
-        assert!(
-            saved >= std::time::Duration::from_millis(20),
-            "saved only {saved:?}"
-        );
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn simulated_tasks_credit_savings() {
-        use crate::config::TimingModel;
-        let base = temp_dir("simtask");
-        let mut cfg = PipelineConfig::fast();
-        cfg.timing = TimingModel::Simulated { threads: 4 };
-        let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
-        let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = (0..4)
-            .map(|_| {
-                Box::new(|| {
-                    std::thread::sleep(std::time::Duration::from_millis(3));
-                    Ok(())
-                }) as Box<dyn FnOnce() -> Result<()> + Send + '_>
-            })
-            .collect();
-        ctx.tasks(tasks).unwrap();
-        // 4 tasks of 3ms on 4 threads: makespan ~3ms, real ~12ms.
-        assert!(ctx.saved_snapshot() >= std::time::Duration::from_millis(6));
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn simulated_errors_still_propagate() {
-        use crate::config::TimingModel;
-        let base = temp_dir("simerr");
-        let mut cfg = PipelineConfig::fast();
-        cfg.timing = TimingModel::Simulated { threads: 8 };
-        let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
-        let err = ctx
-            .par_for_profiled(10, 0.5, |i| {
-                if i == 3 {
-                    Err(PipelineError::Config("sim fail".into()))
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("sim fail"));
         std::fs::remove_dir_all(&base).unwrap();
     }
 

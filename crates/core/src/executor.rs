@@ -23,7 +23,6 @@
 //! DAGs into one super-graph. On a single event it degenerates to
 //! [`ImplKind::DagParallel`] here.
 
-use crate::config::TimingModel;
 use crate::context::RunContext;
 use crate::dag::ProcessDag;
 use crate::error::{PipelineError, Result};
@@ -96,8 +95,8 @@ fn run_process_inner(ctx: &RunContext, p: u8, parallel: bool, staged: bool) -> R
 }
 
 /// As [`run_process`], wrapped in a [`arp_trace::Cat::Process`] span — the
-/// trace attribution for processes executed *in place* (the sequential,
-/// staged, and simulated executors; DAG-scheduled nodes get their span from
+/// trace attribution for processes executed *in place* (the sequential and
+/// staged executors; DAG-scheduled nodes get their span from
 /// the pool and only annotate it, see [`annotate_node`]). `bytes` is the
 /// event's acceleration payload (`data_points × 8`).
 pub(crate) fn run_process_span(
@@ -198,7 +197,6 @@ pub fn run_pipeline_labeled(ctx: &RunContext, kind: ImplKind, event: &str) -> Re
     let work_bytes_before =
         arp_metrics::enabled().then(|| crate::metrics::dir_bytes(&ctx.work_dir));
     let pool_before = arp_par::ThreadPool::global().stats();
-    let saved0 = ctx.saved_snapshot();
     let started = Instant::now();
     let (processes, stages, dag) = match kind {
         ImplKind::SequentialOriginal => {
@@ -232,12 +230,7 @@ pub fn run_pipeline_labeled(ctx: &RunContext, kind: ImplKind, event: &str) -> Re
         );
         process::rotdgen::generate_rotd(ctx, parallel)?;
     }
-    // In simulated-timing mode, parallel constructs execute sequentially
-    // but credit the difference between real and simulated makespan; the
-    // reported total is the virtual wall time.
-    let total = started
-        .elapsed()
-        .saturating_sub(ctx.saved_snapshot() - saved0);
+    let total = started.elapsed();
     let pool_delta = arp_par::ThreadPool::global()
         .stats()
         .delta_since(&pool_before);
@@ -300,19 +293,8 @@ fn run_staged_plan(
 
     for stage in &STAGE_TABLE {
         let strategy = strategy_of(stage);
-        let stage_saved0 = ctx.saved_snapshot();
         let t0 = Instant::now();
         match strategy {
-            Strategy::Sequential => {
-                for &p in stage.processes {
-                    let pt0 = Instant::now();
-                    run_process_span(ctx, p, false, false, event, bytes)?;
-                    process_timings.lock().push(ProcessTiming {
-                        process: ProcessId(p),
-                        elapsed: pt0.elapsed(),
-                    });
-                }
-            }
             Strategy::Tasks => {
                 let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = stage
                     .processes
@@ -332,24 +314,22 @@ fn run_staged_plan(
                     .collect();
                 ctx.tasks(tasks)?;
             }
-            Strategy::Loop | Strategy::StagedLoop => {
+            Strategy::Sequential | Strategy::Loop | Strategy::StagedLoop => {
+                let parallel = strategy != Strategy::Sequential;
                 let staged = strategy == Strategy::StagedLoop;
                 for &p in stage.processes {
                     let pt0 = Instant::now();
-                    let psaved0 = ctx.saved_snapshot();
-                    run_process_span(ctx, p, true, staged, event, bytes)?;
+                    run_process_span(ctx, p, parallel, staged, event, bytes)?;
                     process_timings.lock().push(ProcessTiming {
                         process: ProcessId(p),
-                        elapsed: pt0.elapsed().saturating_sub(ctx.saved_snapshot() - psaved0),
+                        elapsed: pt0.elapsed(),
                     });
                 }
             }
         }
         stage_timings.push(StageTiming {
             stage: stage.id,
-            elapsed: t0
-                .elapsed()
-                .saturating_sub(ctx.saved_snapshot() - stage_saved0),
+            elapsed: t0.elapsed(),
         });
     }
 
@@ -427,14 +407,9 @@ pub(crate) fn dag_schedule_report(
 }
 
 /// Executes the optimized process set by scheduling the artifact-dependency
-/// graph directly on the shared worker pool — no stage barriers.
-///
-/// In measured mode the nodes genuinely run concurrently (node-level
-/// scheduling always uses the `arp-par` pool; inner loops still follow the
-/// configured backend). In simulated mode nodes execute sequentially in
-/// topological order — so their virtual durations can be measured cleanly —
-/// and the DAG schedule is replayed in virtual time, crediting the
-/// difference exactly like the staged executors do.
+/// graph directly on the shared worker pool — no stage barriers. The
+/// attached [`DagReport`] replays the measured node durations on the pool's
+/// width.
 fn run_dag_plan(
     ctx: &RunContext,
     event: &str,
@@ -442,28 +417,6 @@ fn run_dag_plan(
 ) -> Result<(Vec<ProcessTiming>, DagReport)> {
     let dag = ProcessDag::optimized();
     let nodes = dag.nodes();
-
-    if let TimingModel::Simulated { threads } = ctx.config.timing {
-        let mut durations = Vec::with_capacity(nodes.len());
-        let mut timings = Vec::with_capacity(nodes.len());
-        for &p in nodes {
-            let (parallel, staged) = dag_node_mode(p);
-            let saved0 = ctx.saved_snapshot();
-            let t0 = Instant::now();
-            run_process_span(ctx, p, parallel, staged, event, bytes)?;
-            let elapsed = t0.elapsed().saturating_sub(ctx.saved_snapshot() - saved0);
-            durations.push(elapsed);
-            timings.push(ProcessTiming {
-                process: ProcessId(p),
-                elapsed,
-            });
-        }
-        let report = dag_schedule_report(&dag, &durations, threads);
-        // Credit the node-level overlap on top of the already-credited
-        // inner-loop savings, so the run's total is the DAG makespan.
-        ctx.credit_saving(report.node_total, report.dag_makespan);
-        return Ok((timings, report));
-    }
 
     let index_of = |p: u8| nodes.iter().position(|&q| q == p).expect("node in dag");
     let preds: Vec<Vec<usize>> = nodes
@@ -633,13 +586,13 @@ mod tests {
     }
 
     #[test]
-    fn dag_parallel_simulated_beats_or_matches_barrier_plan() {
-        let mut cfg = PipelineConfig::fast();
-        cfg.timing = TimingModel::Simulated { threads: 17 };
+    fn dag_replay_at_full_width_beats_or_matches_barrier_plan() {
         let (base, input) = prepare("dagsim", 0.002);
-        let ctx = RunContext::new(&input, base.join("w"), cfg).unwrap();
+        let ctx = RunContext::new(&input, base.join("w"), PipelineConfig::fast()).unwrap();
         let report = run_pipeline(&ctx, ImplKind::DagParallel).unwrap();
-        let dag = report.dag.unwrap();
+        // Replay the measured node durations with one thread per node.
+        let durations: Vec<Duration> = report.processes.iter().map(|t| t.elapsed).collect();
+        let dag = dag_schedule_report(&ProcessDag::optimized(), &durations, 17);
         assert_eq!(dag.threads, 17);
         assert!(dag.dag_makespan <= dag.barrier_makespan);
         assert_eq!(

@@ -36,7 +36,7 @@ pub fn fourier_transform(ctx: &RunContext, parallel: bool) -> Result<()> {
     let body =
         |i: usize| fourier_station_in_dir(&ctx.work_dir, &stations[i], ctx.config.dsp_backend);
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.59, body)
+        ctx.par_for(stations.len(), body)
     } else {
         ctx.seq_for(stations.len(), body)
     }
@@ -47,7 +47,7 @@ pub fn fourier_transform_staged(ctx: &RunContext, parallel: bool) -> Result<()> 
     let stations = ctx.stations()?;
     let kernel = StagedKernel {
         tag: "p07",
-        serial_fraction: 0.59,
+        serial_fraction: 0.0,
         inputs: &|station: &str| {
             Component::ALL
                 .iter()

@@ -13,7 +13,7 @@ use arp_formats::FileList;
 pub const V1LIST: &str = "v1list.txt";
 
 /// Runs process #1. `parallel` chooses whether the per-file copy loop uses
-/// the parallel backend.
+/// the shared pool.
 pub fn gather_inputs(ctx: &RunContext, parallel: bool) -> Result<()> {
     let names = list_v1_station_files(&ctx.input_dir)?;
     let copy_one = |i: usize| -> Result<()> {
@@ -24,7 +24,7 @@ pub fn gather_inputs(ctx: &RunContext, parallel: bool) -> Result<()> {
         Ok(())
     };
     if parallel {
-        ctx.par_for_profiled(names.len(), 0.7, copy_one)?;
+        ctx.par_for(names.len(), copy_one)?;
     } else {
         ctx.seq_for(names.len(), copy_one)?;
     }

@@ -1,10 +1,9 @@
 //! # arp-par — an OpenMP-style parallel runtime
 //!
 //! The paper parallelizes its pipeline with OpenMP `parallel for` loops,
-//! Fortran `OMP DO` loops, and `task`/`taskwait` blocks. Rayon covers the
-//! same ground but hides the scheduling policy; this crate implements the
-//! OpenMP constructs directly on `std::thread` + atomics so the pipeline can
-//! reproduce — and ablate — the original scheduling choices:
+//! Fortran `OMP DO` loops, and `task`/`taskwait` blocks. This crate
+//! implements those constructs directly on `std::thread` + atomics so the
+//! pipeline can reproduce — and ablate — the original scheduling choices:
 //!
 //! * [`ThreadPool`] — fixed worker pool (the `OMP_NUM_THREADS` team);
 //! * [`ThreadPool::parallel_for`] with [`Schedule::Static`],
@@ -42,7 +41,7 @@ pub use pool::{
     TaskScope, ThreadPool,
 };
 pub use sim::{
-    dag_makespan, dag_makespan_lanes, loop_makespan, resource_bounded_makespan,
-    scale_super_durations, super_dag_makespan, super_dag_makespan_lanes,
-    super_dag_makespan_lanes_scaled, super_dag_makespan_scaled, tasks_makespan,
+    dag_makespan, dag_makespan_lanes, scale_super_durations, super_dag_makespan,
+    super_dag_makespan_lanes, super_dag_makespan_lanes_scaled, super_dag_makespan_scaled,
+    tasks_makespan,
 };

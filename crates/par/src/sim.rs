@@ -1,46 +1,13 @@
 //! Deterministic scheduling simulator.
 //!
 //! Computes the makespan a set of measured work-unit durations *would* have
-//! on `P` processors under each scheduling policy. Used by the pipeline's
-//! simulated-time executor to evaluate parallel performance on hosts with
-//! fewer cores than the paper's testbed: units execute (and are timed) for
-//! real, sequentially; the schedule is then replayed in virtual time.
+//! on `P` processors. The pipeline replays the per-node durations of a
+//! measured run through these functions to decompose its speedup (barrier
+//! vs DAG, per-event vs super-DAG, lane on vs off) and to project it to
+//! thread counts the host does not have; such output is a projection, not
+//! a measurement.
 
-use crate::pool::Schedule;
 use std::time::Duration;
-
-/// Earliest-available-thread simulation of a chunked parallel loop.
-///
-/// Mirrors the claim logic of [`crate::ThreadPool::parallel_for`]: whichever
-/// virtual thread is free earliest claims the next chunk; chunk sizes follow
-/// the schedule. Returns the virtual wall time.
-pub fn loop_makespan(durations: &[Duration], threads: usize, schedule: Schedule) -> Duration {
-    let n = durations.len();
-    if n == 0 {
-        return Duration::ZERO;
-    }
-    let threads = threads.max(1);
-    let mut avail = vec![Duration::ZERO; threads];
-    let mut next = 0usize;
-    while next < n {
-        // Earliest-available virtual thread claims the next chunk.
-        let (tid, _) = avail
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .expect("threads >= 1");
-        let chunk = match schedule {
-            Schedule::Static => n.div_ceil(threads).max(1),
-            Schedule::Dynamic(c) => c.max(1),
-            Schedule::Guided(min) => ((n - next) / (2 * threads)).max(min.max(1)),
-        }
-        .min(n - next);
-        let work: Duration = durations[next..next + chunk].iter().sum();
-        avail[tid] += work;
-        next += chunk;
-    }
-    avail.into_iter().max().unwrap_or(Duration::ZERO)
-}
 
 /// Greedy list-scheduling of heterogeneous tasks on `threads` processors
 /// (OpenMP task pool): each task goes to the earliest-available thread.
@@ -497,27 +464,6 @@ pub fn super_dag_makespan_lanes_scaled(
     super_dag_makespan_lanes(&scaled, preds, threads, io_threads, io_lane)
 }
 
-/// Makespan of a loop whose units spend fraction `serial_fraction` of their
-/// time on a shared serial resource (the disk, in this pipeline).
-///
-/// Roofline bound: each thread executes its assigned units in full
-/// (compute + I/O inline), but the shared resource serves one unit at a
-/// time, so the loop can finish no earlier than the larger of the CPU
-/// schedule and the serialized resource total. For uniform units this
-/// yields the classic `speedup = min(P, 1/β)` plateau that limits the
-/// pipeline's I/O-heavy stages.
-pub fn resource_bounded_makespan(
-    durations: &[Duration],
-    serial_fraction: f64,
-    threads: usize,
-    schedule: Schedule,
-) -> Duration {
-    let beta = serial_fraction.clamp(0.0, 1.0);
-    let serial_total: Duration = durations.iter().map(|d| d.mul_f64(beta)).sum();
-    let cpu = loop_makespan(durations, threads, schedule);
-    cpu.max(serial_total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,52 +473,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_loop_is_zero() {
-        assert_eq!(loop_makespan(&[], 4, Schedule::Static), Duration::ZERO);
-    }
-
-    #[test]
     fn single_thread_is_sum() {
         let d = vec![ms(3), ms(5), ms(2)];
-        assert_eq!(loop_makespan(&d, 1, Schedule::Dynamic(1)), ms(10));
         assert_eq!(tasks_makespan(&d, 1), ms(10));
-    }
-
-    #[test]
-    fn uniform_units_scale_linearly() {
-        let d = vec![ms(10); 8];
-        for sched in [Schedule::Static, Schedule::Dynamic(1), Schedule::Guided(1)] {
-            assert_eq!(loop_makespan(&d, 8, sched), ms(10), "{sched:?}");
-            assert_eq!(loop_makespan(&d, 4, sched), ms(20), "{sched:?}");
-            assert_eq!(loop_makespan(&d, 2, sched), ms(40), "{sched:?}");
-        }
-    }
-
-    #[test]
-    fn makespan_bounds_hold() {
-        let d: Vec<Duration> = (1..=20).map(|i| ms(i * 3 % 17 + 1)).collect();
-        let sum: Duration = d.iter().sum();
-        let max = *d.iter().max().unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            for sched in [Schedule::Static, Schedule::Dynamic(2), Schedule::Guided(1)] {
-                let m = loop_makespan(&d, threads, sched);
-                assert!(m <= sum, "{threads} {sched:?}");
-                assert!(m >= max, "{threads} {sched:?}");
-                assert!(m >= sum / threads as u32, "{threads} {sched:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn dynamic_beats_static_on_skewed_work() {
-        // One giant unit first: static lumps it with others in a big chunk,
-        // dynamic lets the other threads take the small units.
-        let mut d = vec![ms(100)];
-        d.extend(std::iter::repeat_n(ms(1), 15));
-        let stat = loop_makespan(&d, 4, Schedule::Static);
-        let dyn1 = loop_makespan(&d, 4, Schedule::Dynamic(1));
-        assert!(dyn1 <= stat, "dynamic {dyn1:?} vs static {stat:?}");
-        assert_eq!(dyn1, ms(100)); // bounded by the giant unit
     }
 
     #[test]
@@ -582,28 +485,6 @@ mod tests {
         // plenty of threads: max task
         assert_eq!(tasks_makespan(&[ms(5), ms(4), ms(3)], 8), ms(5));
         assert_eq!(tasks_makespan(&[], 4), Duration::ZERO);
-    }
-
-    #[test]
-    fn resource_bound_caps_io_loops() {
-        let d = vec![ms(10); 8];
-        // Pure compute: scales to 8 threads.
-        let free = resource_bounded_makespan(&d, 0.0, 8, Schedule::Static);
-        assert_eq!(free, ms(10));
-        // Fully serial resource: no scaling at all.
-        let serial = resource_bounded_makespan(&d, 1.0, 8, Schedule::Static);
-        assert_eq!(serial, ms(80));
-        // Half serial: bounded by 40ms of disk time (speedup capped at 2).
-        let half = resource_bounded_makespan(&d, 0.5, 8, Schedule::Static);
-        assert_eq!(half, ms(40));
-        // On one thread the loop takes the full sequential sum regardless
-        // of the disk fraction.
-        let one = resource_bounded_makespan(&d, 0.5, 1, Schedule::Static);
-        assert_eq!(one, ms(80));
-        // speedup = min(P, 1/beta) for uniform units: at beta=0.25, P=8
-        // the plateau is 4x.
-        let quarter = resource_bounded_makespan(&d, 0.25, 8, Schedule::Static);
-        assert_eq!(quarter, ms(20));
     }
 
     #[test]
@@ -863,13 +744,5 @@ mod tests {
                 assert!(lanes_m <= m, "lanes at speedup {speedup} threads {threads}");
             }
         }
-    }
-
-    #[test]
-    fn guided_chunks_shrink_but_cover() {
-        let d = vec![ms(2); 100];
-        let m = loop_makespan(&d, 4, Schedule::Guided(1));
-        // Perfectly divisible work: close to ideal.
-        assert!(m <= ms(2 * 100 / 4 + 8), "{m:?}");
     }
 }

@@ -1,10 +1,7 @@
 //! Property tests: the parallel runtime matches sequential semantics for
 //! arbitrary workloads, and the scheduling simulator respects its bounds.
 
-use arp_par::{
-    loop_makespan, resource_bounded_makespan, tasks_makespan, PoolStatsSnapshot, Schedule,
-    ThreadPool,
-};
+use arp_par::{tasks_makespan, PoolStatsSnapshot, Schedule, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -83,52 +80,6 @@ proptest! {
         for c in &counts {
             prop_assert_eq!(c.load(Ordering::Relaxed), 1);
         }
-    }
-
-    #[test]
-    fn simulated_makespan_bounds(
-        durs_ms in prop::collection::vec(0u64..100, 1..80),
-        threads in 1usize..16,
-        schedule in schedule_strategy(),
-    ) {
-        let durs: Vec<Duration> = durs_ms.iter().map(|&m| Duration::from_millis(m)).collect();
-        let sum: Duration = durs.iter().sum();
-        let max = durs.iter().copied().max().unwrap_or_default();
-        let m = loop_makespan(&durs, threads, schedule);
-        // Fundamental scheduling bounds.
-        prop_assert!(m <= sum);
-        prop_assert!(m >= max);
-        prop_assert!(m.as_nanos() * (threads as u128) >= sum.as_nanos());
-        // One thread degenerates to the sum.
-        prop_assert_eq!(loop_makespan(&durs, 1, schedule), sum);
-    }
-
-    #[test]
-    fn more_threads_never_hurt_dynamic_schedules(
-        durs_ms in prop::collection::vec(0u64..50, 1..60),
-        threads in 1usize..8,
-    ) {
-        // Monotonicity holds for self-scheduling (dynamic chunk 1); static
-        // chunking can have parity anomalies, so it is excluded by design.
-        let durs: Vec<Duration> = durs_ms.iter().map(|&m| Duration::from_millis(m)).collect();
-        let a = loop_makespan(&durs, threads, Schedule::Dynamic(1));
-        let b = loop_makespan(&durs, threads + 1, Schedule::Dynamic(1));
-        prop_assert!(b <= a, "threads {} -> {:?}, {} -> {:?}", threads, a, threads + 1, b);
-    }
-
-    #[test]
-    fn resource_bound_is_at_least_cpu_bound(
-        durs_ms in prop::collection::vec(1u64..50, 1..60),
-        threads in 1usize..16,
-        beta in 0.0f64..1.0,
-    ) {
-        let durs: Vec<Duration> = durs_ms.iter().map(|&m| Duration::from_millis(m)).collect();
-        let cpu = loop_makespan(&durs, threads, Schedule::Static);
-        let bounded = resource_bounded_makespan(&durs, beta, threads, Schedule::Static);
-        prop_assert!(bounded >= cpu);
-        // And never more than the full sequential sum.
-        let sum: Duration = durs.iter().sum();
-        prop_assert!(bounded <= sum);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub enum Cat {
     /// One claimed chunk of a `parallel_for` loop.
     Chunk,
     /// One pipeline process executed outside the DAG scheduler (the
-    /// sequential and staged executors, and simulated-timing runs).
+    /// sequential and staged executors).
     Process,
 }
 

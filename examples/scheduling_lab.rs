@@ -2,15 +2,14 @@
 //! deterministic simulator, side by side.
 //!
 //! Demonstrates (1) real parallel loops under static/dynamic/guided
-//! schedules, (2) task scopes, and (3) the virtual-time scheduler used by
-//! the pipeline's simulated-timing mode, including the disk-contention
-//! bound that limits I/O-stage scaling.
+//! schedules, (2) task scopes, and (3) the replay scheduler the pipeline
+//! uses to project measured node durations onto other thread counts.
 //!
 //! ```text
 //! cargo run --release --example scheduling_lab
 //! ```
 
-use arp_par::{loop_makespan, resource_bounded_makespan, tasks_makespan, Schedule, ThreadPool};
+use arp_par::{dag_makespan, tasks_makespan, Schedule, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -52,43 +51,22 @@ fn main() {
     }
     println!("all tasks completed: checksums {results:?}");
 
-    // 3. The virtual-time scheduler: what a 64-unit loop costs on 1..16
-    //    virtual processors under each schedule.
-    println!("\n-- simulated makespans (64 units, one 30x straggler) --");
-    let durations: Vec<Duration> = (0..64)
-        .map(|i| Duration::from_millis(if i == 0 { 300 } else { 10 }))
-        .collect();
-    println!(
-        "{:<10} {:>8} {:>9} {:>9}",
-        "threads", "static", "dynamic", "guided"
-    );
+    // 3. The replay scheduler: a fork-join graph (one root, 63 branches of
+    //    which one is a 30x straggler, one join) on 1..16 processors.
+    println!("\n-- projected makespans (fork of 63 branches, one 30x straggler) --");
+    let mut durations = vec![Duration::from_millis(5)];
+    durations.extend((0..63).map(|i| Duration::from_millis(if i == 0 { 300 } else { 10 })));
+    durations.push(Duration::from_millis(5));
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new()];
+    preds.extend((0..63).map(|_| vec![0]));
+    preds.push((1..64).collect());
+    println!("{:<10} {:>9}", "threads", "makespan");
     for threads in [1usize, 2, 4, 8, 16] {
-        let st = loop_makespan(&durations, threads, Schedule::Static);
-        let dy = loop_makespan(&durations, threads, Schedule::Dynamic(1));
-        let gu = loop_makespan(&durations, threads, Schedule::Guided(1));
-        println!(
-            "{threads:<10} {:>7.0}ms {:>8.0}ms {:>8.0}ms",
-            st.as_secs_f64() * 1e3,
-            dy.as_secs_f64() * 1e3,
-            gu.as_secs_f64() * 1e3
-        );
+        let m = dag_makespan(&durations, &preds, threads);
+        println!("{threads:<10} {:>8.0}ms", m.as_secs_f64() * 1e3);
     }
 
-    // 4. The disk-contention bound: why the pipeline's I/O stages plateau.
-    println!("\n-- disk-bound loop (serial fraction 0.6) vs pure compute --");
-    let uniform: Vec<Duration> = vec![Duration::from_millis(10); 64];
-    println!("{:<10} {:>9} {:>12}", "threads", "compute", "60% on disk");
-    for threads in [1usize, 2, 4, 8, 16] {
-        let cpu = resource_bounded_makespan(&uniform, 0.0, threads, Schedule::Static);
-        let io = resource_bounded_makespan(&uniform, 0.6, threads, Schedule::Static);
-        println!(
-            "{threads:<10} {:>8.0}ms {:>11.0}ms",
-            cpu.as_secs_f64() * 1e3,
-            io.as_secs_f64() * 1e3
-        );
-    }
-
-    // 5. Task list-scheduling, as used for the metadata stages.
+    // 4. Task list-scheduling, as used for the metadata stages.
     let task_durs = [
         Duration::from_millis(9),
         Duration::from_millis(4),

@@ -8,6 +8,9 @@
 //! arp query --dir DIR [filters] [--format F]        filtered record scan
 //! ```
 //!
+//! Every subcommand rejects a flag it does not read, naming the flag, with
+//! a nonzero exit.
+//!
 //! `--impl` is one of `seq-original`, `seq-optimized`, `partial`, `full`,
 //! `dag` (default `full`). `arp run --stats on` additionally prints the
 //! worker-pool counters the run produced (and, for `--impl dag`, the
@@ -98,6 +101,74 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         flags.insert(key.to_string(), value.clone());
     }
     Ok(flags)
+}
+
+/// Flags `run` and `batch` share: DSP backend, I/O lane, live metrics,
+/// diagnostics and trace sinks.
+const WORKLOAD_FLAGS: &[&str] = &[
+    "dsp-backend",
+    "io-threads",
+    "metrics-addr",
+    "metrics-hold",
+    "log-level",
+    "diag",
+    "diag-dir",
+    "trace",
+    "trace-svg",
+    "trace-csv",
+];
+
+/// The flags a subcommand reads (`None` for an unknown subcommand). Any
+/// other flag is rejected, so a misspelt one cannot silently fall back to
+/// its default.
+fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
+    let (own, workload): (&[&'static str], bool) = match command {
+        "generate" => (&["out", "event", "scale"], false),
+        "run" => (&["in", "work", "impl", "stats"], true),
+        "verify" => (&["in", "work", "dsp-backend"], false),
+        "inspect" => (&["work", "station"], false),
+        "query" => (
+            &[
+                "dir",
+                "kind",
+                "event",
+                "station",
+                "component",
+                "min-pga",
+                "max-pga",
+                "period-min",
+                "period-max",
+                "format",
+                "emit",
+            ],
+            false,
+        ),
+        "summary" => (&["in", "work", "dsp-backend", "csv"], false),
+        "batch" => (&["root", "work", "impl", "order"], true),
+        "profile" => (
+            &[
+                "input",
+                "root",
+                "work",
+                "check",
+                "tolerance",
+                "top",
+                "threads",
+                "io-threads",
+                "json",
+                "folded",
+                "svg",
+            ],
+            false,
+        ),
+        "trace-check" => (&["file"], false),
+        "metrics" => (&["check", "fetch", "path"], false),
+        "diag-check" => (&["file", "bundle"], false),
+        "postmortem" => (&["bundle"], false),
+        _ => return None,
+    };
+    let shared: &[&'static str] = if workload { WORKLOAD_FLAGS } else { &[] };
+    Some(own.iter().chain(shared).copied().collect())
 }
 
 fn impl_kind(name: &str) -> Result<ImplKind, String> {
@@ -953,6 +1024,25 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let Some(accepted) = accepted_flags(command) else {
+        eprintln!("error: unknown command {command:?}");
+        return ExitCode::from(2);
+    };
+    let mut unknown: Vec<&String> = flags
+        .keys()
+        .filter(|k| !accepted.contains(&k.as_str()))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort();
+        let names: Vec<String> = unknown.iter().map(|k| format!("--{k}")).collect();
+        eprintln!(
+            "error: unknown flag{} {} for `arp {command}` (accepted: --{})",
+            if names.len() > 1 { "s" } else { "" },
+            names.join(", "),
+            accepted.join(", --")
+        );
+        return ExitCode::from(2);
+    }
     let result = match command.as_str() {
         "generate" => cmd_generate(&flags),
         "run" => cmd_run(&flags),

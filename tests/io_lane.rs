@@ -3,7 +3,9 @@
 //! failure is attributed to its event without corrupting siblings.
 
 use arp_core::output::{diff_snapshots, snapshot};
-use arp_core::{run_batch_dag, BatchItem, PipelineConfig, PipelineError, ReadyOrder};
+use arp_core::process::filter::CorrectionPass;
+use arp_core::process::{filter, filterinit, flags, gather, separate};
+use arp_core::{run_batch_dag, BatchItem, PipelineConfig, PipelineError, ReadyOrder, RunContext};
 use arp_synth::{paper_event, write_event_inputs};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -133,40 +135,39 @@ fn failed_event_is_attributed_and_isolated() {
     text.replace_range(line_start..line_end, "1.0 not_a_number 2.0");
     std::fs::write(&victim, text).unwrap();
 
-    // Simulated timing runs events sequentially (ev-a completes before
-    // ev-b starts), so the sibling comparison is exact — and deterministic.
-    let mut sim = PipelineConfig::fast();
-    sim.timing = arp_core::config::TimingModel::Simulated { threads: 4 };
     let failed_work = base.join("work-failed");
-    let err = run_batch_dag(&items, &failed_work, &sim, ReadyOrder::CriticalPath).unwrap_err();
-    // The failure is attributed to the event's node...
-    assert!(matches!(err, PipelineError::Node { .. }), "{err}");
-    assert!(err.to_string().contains("ev-b"), "{err}");
-    // ...the healthy sibling is not contaminated: its products are
-    // byte-identical to the clean run...
-    let diffs = diff_snapshots(
-        &snapshot(&clean_work.join("ev-a")).unwrap(),
-        &snapshot(&failed_work.join("ev-a")).unwrap(),
-    );
-    assert!(
-        diffs.is_empty(),
-        "ev-a diverged after ev-b failed: {diffs:#?}"
-    );
-    // ...and no staging folders leak from the interrupted protocol.
-    assert_eq!(staging_dirs(&failed_work), Vec::<PathBuf>::new());
-
-    // The measured path goes through the pool scheduler instead of the
-    // sequential loop; it must attribute and fail-fast the same way.
-    let measured_work = base.join("work-failed-measured");
     let err = run_batch_dag(
         &items,
-        &measured_work,
+        &failed_work,
         &PipelineConfig::fast(),
         ReadyOrder::CriticalPath,
     )
     .unwrap_err();
+    // The failure is attributed to the event's node...
     assert!(matches!(err, PipelineError::Node { .. }), "{err}");
     assert!(err.to_string().contains("ev-b"), "{err}");
-    assert_eq!(staging_dirs(&measured_work), Vec::<PathBuf>::new());
+    // ...the healthy sibling is not contaminated. Fail-fast skips only
+    // nodes that have not started, so every product ev-a wrote is
+    // complete: it equals the clean run's, or, for the products a later
+    // node rewrites (#2/#10 the filter parameters, #4/#13 the V2 records
+    // and max values), the version ev-a leaves after the default pass.
+    let partial_work = base.join("work-partial");
+    let ctx = RunContext::new(&items[0].input_dir, &partial_work, PipelineConfig::fast()).unwrap();
+    flags::init_flags(&ctx).unwrap();
+    gather::gather_inputs(&ctx, false).unwrap();
+    filterinit::init_filter_params(&ctx).unwrap();
+    separate::separate_components(&ctx, false).unwrap();
+    filter::correct_signals(&ctx, CorrectionPass::Default, false).unwrap();
+    let clean = snapshot(&clean_work.join("ev-a")).unwrap();
+    let partial = snapshot(&partial_work).unwrap();
+    let failed = snapshot(&failed_work.join("ev-a")).unwrap();
+    for (name, hash) in &failed {
+        assert!(
+            clean.get(name) == Some(hash) || partial.get(name) == Some(hash),
+            "ev-a product {name} diverged after ev-b failed"
+        );
+    }
+    // ...and no staging folders leak from the interrupted protocol.
+    assert_eq!(staging_dirs(&failed_work), Vec::<PathBuf>::new());
     std::fs::remove_dir_all(&base).unwrap();
 }

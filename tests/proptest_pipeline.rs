@@ -3,7 +3,7 @@
 //! output-equivalent.
 
 use arp_core::output::{diff_snapshots, snapshot};
-use arp_core::{run_pipeline, ImplKind, ParallelBackend, PipelineConfig, RunContext};
+use arp_core::{run_pipeline, ImplKind, PipelineConfig, RunContext};
 use arp_synth::{EventSpec, SiteClass, SourceModel, StationSpec};
 use proptest::prelude::*;
 
@@ -44,10 +44,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn any_event_processes_and_implementations_agree(
-        event in event_strategy(),
-        backend_rayon in any::<bool>(),
-    ) {
+    fn any_event_processes_and_implementations_agree(event in event_strategy()) {
         let base = std::env::temp_dir().join(format!(
             "arp-prop-{}-{}",
             std::process::id(),
@@ -57,12 +54,7 @@ proptest! {
         std::fs::create_dir_all(&input).unwrap();
         arp_synth::write_event_inputs(&event, &input).unwrap();
 
-        let mut config = PipelineConfig::fast();
-        config.backend = if backend_rayon {
-            ParallelBackend::Rayon
-        } else {
-            ParallelBackend::OmpStyle(arp_par::Schedule::Dynamic(1))
-        };
+        let config = PipelineConfig::fast();
 
         let mut reference = None;
         for kind in [
