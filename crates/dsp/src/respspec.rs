@@ -17,6 +17,15 @@
 //!   recurrence (Nigam & Jennings, 1969), `O(D)` per period; used as the
 //!   fast alternative and as an ablation of the paper's "advanced
 //!   optimization" future work.
+//!
+//! The Nigam–Jennings recurrence runs in state-transition form: per
+//! `(period, damping)` the exact step is a fixed 2×2 matrix on the state
+//! `(u, v)` plus a fixed 2×2 matrix on the forcing `(a0, a1)`, both taken
+//! once from the stepwise solution `nj_step`, so the time loop is 10
+//! multiplies and 7 adds with no division. One generic loop serves the
+//! scalar backend (one oscillator) and the SIMD backend (four periods per
+//! block), so the backends are bitwise-equal; on x86-64 the four-lane loop
+//! also has an AVX2 clone chosen at run time, with the same bits.
 
 use crate::backend::{DspBackend, LANES};
 use crate::error::DspError;
@@ -26,7 +35,10 @@ use crate::error::DspError;
 pub enum ResponseMethod {
     /// Direct Duhamel integral, `O(D²)` per period (legacy-faithful).
     Duhamel,
-    /// Exact recursive solution for piecewise-linear input, `O(D)` per period.
+    /// Exact recursive solution for piecewise-linear input, `O(D)` per period,
+    /// applied as a fixed state-transition matrix per oscillator: no
+    /// division per step. Ordinates agree with the stepwise form of the
+    /// recurrence to within 1e-8 relative.
     NigamJennings,
 }
 
@@ -194,9 +206,9 @@ fn sdof_consts(dt: f64, period: f64, damping: f64) -> SdofConsts {
 /// with ground acceleration linear from `a0` to `a1`, returning
 /// `(u', v', absolute acceleration)`.
 ///
-/// `#[inline(always)]` and shared by the scalar and 4-lane kernels: both
-/// backends execute this exact expression tree per period per step, which is
-/// what makes them bitwise-equal.
+/// The single statement of the physics: [`NjLanes::new`] applies it to
+/// unit states and unit forcings to build the state-transition matrices the
+/// time loop runs on.
 #[inline(always)]
 fn nj_step(k: &SdofConsts, dt: f64, u: f64, v: f64, a0: f64, a1: f64) -> (f64, f64, f64) {
     let gamma = (a1 - a0) / dt;
@@ -312,32 +324,141 @@ fn duhamel_peaks_x4(
     })
 }
 
-/// Exact recurrence for piecewise-linear ground acceleration
-/// (Nigam–Jennings). For each step the analytic solution of
-/// `u'' + 2ζω u' + ω² u = -a_g(τ)` with `a_g` linear on the step is used to
-/// advance `(u, v)` — `O(D)`.
-fn nigam_jennings_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> SdofPeaks {
-    let k = sdof_consts(dt, period, damping);
+/// Nigam–Jennings coefficients for `N` oscillators, one lane each, in
+/// state-transition form.
+///
+/// [`nj_step`] is linear in the state `(u, v)` and in the forcing
+/// `(a0, a1)`, so one step is
+///
+/// ```text
+/// [u']   [a11 a12] [u]   [b11 b12] [a0]
+/// [v'] = [a21 a22] [v] + [b21 b22] [a1],   a_abs = -(c1·v' + c2·u')
+/// ```
+///
+/// with `A`'s columns the step from a unit state and zero forcing and `B`'s
+/// the step from rest under unit forcing. Both are taken from [`nj_step`]
+/// itself, which stays the single statement of the physics; the time loop
+/// then needs no division. Each coefficient is a `[f64; N]` array because
+/// that layout is what LLVM packs into vector registers.
+struct NjLanes<const N: usize> {
+    a11: [f64; N],
+    a12: [f64; N],
+    a21: [f64; N],
+    a22: [f64; N],
+    b11: [f64; N],
+    b12: [f64; N],
+    b21: [f64; N],
+    b22: [f64; N],
+    /// `2ζω`.
+    c1: [f64; N],
+    /// `ω²`.
+    c2: [f64; N],
+}
 
-    let mut u = 0.0f64;
-    let mut v = 0.0f64;
-    let mut sd = 0.0f64;
-    let mut sv = 0.0f64;
+impl<const N: usize> NjLanes<N> {
+    fn new(dt: f64, periods: &[f64; N], damping: f64) -> Self {
+        let k = periods.map(|t| sdof_consts(dt, t, damping));
+        // One column of A or B per lane: (u', v') after one step from the
+        // given state and forcing.
+        let column = |u: f64, v: f64, a0: f64, a1: f64| {
+            let next = k.map(|k| nj_step(&k, dt, u, v, a0, a1));
+            (next.map(|s| s.0), next.map(|s| s.1))
+        };
+        let (a11, a21) = column(1.0, 0.0, 0.0, 0.0);
+        let (a12, a22) = column(0.0, 1.0, 0.0, 0.0);
+        let (b11, b21) = column(0.0, 0.0, 1.0, 0.0);
+        let (b12, b22) = column(0.0, 0.0, 0.0, 1.0);
+        NjLanes {
+            a11,
+            a12,
+            a21,
+            a22,
+            b11,
+            b12,
+            b21,
+            b22,
+            c1: k.map(|k| 2.0 * k.bw),
+            c2: k.map(|k| k.w2),
+        }
+    }
+}
+
+/// Running peaks of `N` oscillators, one array per quantity.
+struct LanePeaks<const N: usize> {
+    sd: [f64; N],
+    sv: [f64; N],
+    sa: [f64; N],
+}
+
+impl<const N: usize> LanePeaks<N> {
+    fn lanes(self) -> [SdofPeaks; N] {
+        std::array::from_fn(|l| SdofPeaks {
+            sd: self.sd[l],
+            sv: self.sv[l],
+            sa: self.sa[l],
+        })
+    }
+}
+
+/// Raises the running peak `m` to `x`. For the non-NaN `m` every kernel
+/// keeps, this equals `m.max(x)` (NaN `x` included) and lowers to one
+/// `maxpd`.
+#[inline(always)]
+fn raise(m: &mut f64, x: f64) {
+    if x > *m {
+        *m = x;
+    }
+}
+
+/// The Nigam–Jennings time loop for `N` independent oscillators over one
+/// sweep of the record: `N = 1` is the scalar kernel, `N = LANES` the lane
+/// kernel. Per lane the expression order is the same for every `N`, which
+/// is what makes the backends bitwise-equal. The forcing terms come first
+/// in each sum, so the loop-carried chain through `(u, v)` is one multiply
+/// and two adds.
+#[inline(always)]
+fn nj_lanes_peaks<const N: usize>(acc: &[f64], k: &NjLanes<N>) -> LanePeaks<N> {
+    let mut u = [0.0f64; N];
+    let mut v = [0.0f64; N];
+    let mut sd = [0.0f64; N];
+    let mut sv = [0.0f64; N];
     // At rest, absolute acceleration -(2ζω v + ω² u) is zero.
-    let mut sa = 0.0f64;
+    let mut sa = [0.0f64; N];
 
-    for i in 0..acc.len() - 1 {
-        let (u_next, v_next, a_abs) = nj_step(&k, dt, u, v, acc[i], acc[i + 1]);
+    let mut a0 = acc[0];
+    for &a1 in &acc[1..] {
+        // Statement by statement across the lanes, not lane by lane: this
+        // shape keeps each array in one vector register (two on SSE2).
+        let u_next: [f64; N] = std::array::from_fn(|l| {
+            k.b11[l] * a0 + k.b12[l] * a1 + k.a11[l] * u[l] + k.a12[l] * v[l]
+        });
+        let v_next: [f64; N] = std::array::from_fn(|l| {
+            k.b21[l] * a0 + k.b22[l] * a1 + k.a21[l] * u[l] + k.a22[l] * v[l]
+        });
+        for l in 0..N {
+            let a_abs = -(k.c1[l] * v_next[l] + k.c2[l] * u_next[l]);
+            raise(&mut sd[l], u_next[l].abs());
+            raise(&mut sv[l], v_next[l].abs());
+            raise(&mut sa[l], a_abs.abs());
+        }
         u = u_next;
         v = v_next;
-        sd = sd.max(u.abs());
-        sv = sv.max(v.abs());
-        sa = sa.max(a_abs.abs());
+        a0 = a1;
         // Guard against numerical blow-up on absurd inputs.
-        debug_assert!(u.is_finite() && v.is_finite());
+        debug_assert!(u.iter().chain(&v).all(|x| x.is_finite()));
     }
 
-    SdofPeaks { sd, sv, sa }
+    LanePeaks { sd, sv, sa }
+}
+
+/// Exact recurrence for piecewise-linear ground acceleration
+/// (Nigam–Jennings). For each step the analytic solution of
+/// `u'' + 2ζω u' + ω² u = -a_g(τ)` with `a_g` linear on the step advances
+/// `(u, v)` — `O(D)`, applied as the fixed state-transition matrices of
+/// [`NjLanes`].
+fn nigam_jennings_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> SdofPeaks {
+    let [p] = nj_lanes_peaks(acc, &NjLanes::new(dt, &[period], damping)).lanes();
+    p
 }
 
 /// Nigam–Jennings peaks for four periods at once — the across-period lane
@@ -345,41 +466,46 @@ fn nigam_jennings_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> Sdof
 /// so four of them advance in lockstep over one sweep of the record. The
 /// scalar kernel is latency-bound on its single dependent chain; the four
 /// independent chains here are what the SIMD backend's throughput comes
-/// from. Per lane, [`nj_step`] runs with identical inputs and expression
-/// order as the scalar kernel — bitwise-equal by construction.
+/// from. Per lane the arithmetic is the scalar kernel's, so the two are
+/// bitwise-equal by construction.
+///
+/// On x86-64 the same body is also compiled with AVX2 enabled and chosen at
+/// run time when the CPU has it: the default target only has SSE2, which
+/// splits each `[f64; 4]` across two registers. Neither clone uses fused
+/// multiply-add, so both give the same bits.
 fn nigam_jennings_peaks_x4(
     acc: &[f64],
     dt: f64,
     periods: &[f64; LANES],
     damping: f64,
 ) -> [SdofPeaks; LANES] {
-    let k: [SdofConsts; LANES] = std::array::from_fn(|l| sdof_consts(dt, periods[l], damping));
-
-    let mut u = [0.0f64; LANES];
-    let mut v = [0.0f64; LANES];
-    let mut sd = [0.0f64; LANES];
-    let mut sv = [0.0f64; LANES];
-    let mut sa = [0.0f64; LANES];
-
-    for i in 0..acc.len() - 1 {
-        let a0 = acc[i];
-        let a1 = acc[i + 1];
-        for l in 0..LANES {
-            let (u_next, v_next, a_abs) = nj_step(&k[l], dt, u[l], v[l], a0, a1);
-            u[l] = u_next;
-            v[l] = v_next;
-            sd[l] = sd[l].max(u_next.abs());
-            sv[l] = sv[l].max(v_next.abs());
-            sa[l] = sa[l].max(a_abs.abs());
-        }
-        debug_assert!(u.iter().all(|x| x.is_finite()));
+    let k = NjLanes::new(dt, periods, damping);
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        return unsafe { nj_lanes_peaks_avx2(acc, &k) }.lanes();
     }
+    nj_lanes_peaks_portable(acc, &k).lanes()
+}
 
-    std::array::from_fn(|l| SdofPeaks {
-        sd: sd[l],
-        sv: sv[l],
-        sa: sa[l],
-    })
+/// [`nj_lanes_peaks`] at [`LANES`] for the build's own target features.
+/// Kept out of line so the lane layout of the peaks stays the kernel's own,
+/// not that of the caller's `SdofPeaks`.
+#[inline(never)]
+fn nj_lanes_peaks_portable(acc: &[f64], k: &NjLanes<LANES>) -> LanePeaks<LANES> {
+    nj_lanes_peaks(acc, k)
+}
+
+/// [`nj_lanes_peaks`] at [`LANES`] compiled for AVX2: one 256-bit register
+/// per coefficient.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn nj_lanes_peaks_avx2(acc: &[f64], k: &NjLanes<LANES>) -> LanePeaks<LANES> {
+    nj_lanes_peaks(acc, k)
 }
 
 /// Peaks for four periods at once with the given solver.
@@ -411,8 +537,8 @@ pub fn response_spectrum(
 ///
 /// The SIMD backend integrates periods in blocks of four (each period's SDOF
 /// is an independent chain — the perfect lane layout for this
-/// `O(periods × points)` loop), with a scalar tail for the remainder.
-/// Backends are bitwise-equal.
+/// `O(periods × points)` loop); a last block of one to three periods is
+/// padded by repeating its last period. Backends are bitwise-equal.
 pub fn response_spectrum_with(
     acc: &[f64],
     dt: f64,
@@ -434,24 +560,21 @@ pub fn response_spectrum_with(
             }
         }
         _ => {
-            let chunks = periods.chunks_exact(LANES);
-            let tail = chunks.remainder();
-            for chunk in chunks {
+            for chunk in periods.chunks(LANES) {
                 for &t in chunk {
                     validate_sdof_args(acc, dt, t, damping)?;
                 }
-                let block: &[f64; LANES] = chunk.try_into().expect("chunk of LANES");
-                for p in sdof_peaks_x4(acc, dt, block, damping, method) {
+                // A short last block repeats its last period; lanes are
+                // independent, so the extra lanes are simply dropped.
+                let block: [f64; LANES] = std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)]);
+                for p in sdof_peaks_x4(acc, dt, &block, damping, method)
+                    .into_iter()
+                    .take(chunk.len())
+                {
                     sd.push(p.sd);
                     sv.push(p.sv);
                     sa.push(p.sa);
                 }
-            }
-            for &t in tail {
-                let p = sdof_peaks(acc, dt, t, damping, method)?;
-                sd.push(p.sd);
-                sv.push(p.sv);
-                sa.push(p.sa);
             }
         }
     }
@@ -467,7 +590,25 @@ pub fn response_spectrum_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::f64::consts::PI;
+
+    /// The stepwise Nigam–Jennings form: [`nj_step`] re-derived at every
+    /// step. The reference the state-transition kernel is held to.
+    fn nigam_jennings_peaks_stepwise(acc: &[f64], dt: f64, period: f64, damping: f64) -> SdofPeaks {
+        let k = sdof_consts(dt, period, damping);
+        let (mut u, mut v) = (0.0f64, 0.0f64);
+        let (mut sd, mut sv, mut sa) = (0.0f64, 0.0f64, 0.0f64);
+        for w in acc.windows(2) {
+            let (u_next, v_next, a_abs) = nj_step(&k, dt, u, v, w[0], w[1]);
+            u = u_next;
+            v = v_next;
+            sd = sd.max(u.abs());
+            sv = sv.max(v.abs());
+            sa = sa.max(a_abs.abs());
+        }
+        SdofPeaks { sd, sv, sa }
+    }
 
     fn tone(f: f64, dt: f64, n: usize) -> Vec<f64> {
         (0..n)
@@ -653,5 +794,67 @@ mod tests {
         let w = 2.0 * PI / 1.0;
         let psv = w * p.sd;
         assert!((psv - p.sv).abs() / p.sv < 0.25, "psv {psv} sv {}", p.sv);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_clone_matches_portable_lane_kernel() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let dt = 0.005;
+        let acc: Vec<f64> = (0..5000)
+            .map(|i| ((i * 37 % 211) as f64 - 105.0) * 0.7)
+            .collect();
+        for &damping in &STANDARD_DAMPINGS {
+            for block in standard_periods().chunks_exact(LANES) {
+                let k = NjLanes::new(dt, block.try_into().unwrap(), damping);
+                // SAFETY: AVX2 support was checked at the top of the test.
+                let fast = unsafe { nj_lanes_peaks_avx2(&acc, &k) };
+                let portable = nj_lanes_peaks_portable(&acc, &k);
+                for (a, b) in [
+                    (fast.sd, portable.sd),
+                    (fast.sv, portable.sv),
+                    (fast.sa, portable.sa),
+                ] {
+                    assert_eq!(
+                        a.map(f64::to_bits),
+                        b.map(f64::to_bits),
+                        "{block:?} z={damping}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The state-transition kernel stays within 1e-8 relative of the
+        /// stepwise form over the standard period range, every archived
+        /// damping and the sampling intervals of real records.
+        #[test]
+        fn state_transition_matches_stepwise_form(
+            acc in prop::collection::vec(-500.0f64..500.0, 2..1500),
+            dt in prop::sample::select(vec![0.005, 0.01, 0.02]),
+            period in 0.04f64..15.0,
+        ) {
+            for &damping in &STANDARD_DAMPINGS {
+                let got = sdof_peaks(&acc, dt, period, damping, ResponseMethod::NigamJennings)
+                    .unwrap();
+                let want = nigam_jennings_peaks_stepwise(&acc, dt, period, damping);
+                for (name, g, w) in [
+                    ("sd", got.sd, want.sd),
+                    ("sv", got.sv, want.sv),
+                    ("sa", got.sa, want.sa),
+                ] {
+                    prop_assert!(
+                        (g - w).abs() <= 1e-8 * w.abs(),
+                        "{} T={} dt={} z={}: {} vs stepwise {}",
+                        name, period, dt, damping, g, w
+                    );
+                }
+            }
+        }
     }
 }

@@ -1694,7 +1694,9 @@ mod tests {
         });
         let after = p.stats();
         assert_eq!(after.loops_completed, 1);
-        assert!(after.jobs_on_workers + after.jobs_helped >= 1);
+        // I/O-lane workers take compute jobs too, so a loop's helper jobs
+        // may all land there.
+        assert!(after.jobs_on_workers + after.io_jobs_on_workers + after.jobs_helped >= 1);
         assert_eq!(after.panics_caught, 0);
     }
 
